@@ -243,6 +243,46 @@ void BM_GemmABtPerBackend(benchmark::State& state,
   num::simd::set_backend_for_testing(nullptr);
 }
 
+// The engine's input-path gemm (x · wxt) at its Wx shapes: m = batch
+// (1 or 8), k = dx (256 for an embedding-fed first layer, 512 for a
+// stacked layer fed by a 512-wide one), n = 4 * dh = 2048. Items are
+// MACs, so items_per_second reads as MAC/s; BM_GemmReference is the
+// unblocked num::reference loop on the same shapes.
+void BM_GemmPerBackend(benchmark::State& state,
+                       const num::simd::KernelBackend* backend) {
+  num::simd::set_backend_for_testing(backend);
+  const num::Index m = state.range(0);
+  const num::Index k = state.range(1);
+  const num::Index n = 2048;
+  const auto a = random_matrix(m, k, 22);
+  const auto b = random_matrix(k, n, 23);
+  num::Matrix c;
+  for (auto _ : state) {
+    num::gemm(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+  state.SetLabel(backend->name);
+  num::simd::set_backend_for_testing(nullptr);
+}
+
+void BM_GemmReference(benchmark::State& state) {
+  const num::Index m = state.range(0);
+  const num::Index k = state.range(1);
+  const num::Index n = 2048;
+  const auto a = random_matrix(m, k, 22);
+  const auto b = random_matrix(k, n, 23);
+  num::Matrix c;
+  for (auto _ : state) {
+    num::reference::gemm(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_GemmReference)->ArgsProduct({{1, 8}, {256, 512}});
+
 void BM_SparseAccumRowsPerBackend(benchmark::State& state,
                                   const num::simd::KernelBackend* backend) {
   num::simd::set_backend_for_testing(backend);
@@ -275,6 +315,10 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("zss_kernel_backend",
                               zss::num::simd::active_backend().name);
   for (const auto* backend : zss::num::simd::available_backends()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GemmPerBackend/") + backend->name).c_str(),
+        BM_GemmPerBackend, backend)
+        ->ArgsProduct({{1, 8}, {256, 512}});
     benchmark::RegisterBenchmark(
         (std::string("BM_GemmABtPerBackend/dh512/") + backend->name).c_str(),
         BM_GemmABtPerBackend, backend);

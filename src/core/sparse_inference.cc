@@ -144,7 +144,7 @@ void SparseLstmEngine::step(const num::Matrix& x, num::Matrix& h,
 
   if (B > reserved_batch_) reserve(B);  // warm loop: a single compare
 
-  num::Matrix& pre = ws_.uninit(kPre, B, 4 * dh);  // gemm zero-fills it
+  num::Matrix& pre = ws_.uninit(kPre, B, 4 * dh);  // gemm overwrites it
   compute_input_path(x, pre);
   stats_.input_macs += B * cell_->input_dim() * 4 * dh;
 
@@ -218,7 +218,7 @@ void SparseLstmEngine::step_dense(const num::Matrix& x, num::Matrix& h,
 
   if (B > reserved_batch_) reserve(B);  // warm loop: a single compare
 
-  num::Matrix& pre = ws_.uninit(kPre, B, 4 * dh);  // gemm zero-fills it
+  num::Matrix& pre = ws_.uninit(kPre, B, 4 * dh);  // gemm overwrites it
   compute_input_path(x, pre);
   // Dense recurrent baseline: full dot products over the gate-major
   // weights — every position's terms are accumulated, in the same

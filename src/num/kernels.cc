@@ -224,7 +224,7 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   const Index m = a.rows();
   const Index k = a.cols();
   const Index n = b.cols();
-  c.resize(m, n, 0.0f);
+  c.reshape(m, n);  // gemm_rows writes every element; no fill pass
   const auto* backend = &simd::active_backend();
   const float* ap = a.data();
   const float* bp = b.data();

@@ -68,8 +68,8 @@ inline void transpose8(__m256 r[8]) {
   r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
 }
 
-// y[j] += v * row[j] over [0, n): the shared inner loop of gemm and
-// sparse_accum_rows. Each lane is one output column's chain step.
+// y[j] += v * row[j] over [0, n): the inner loop of sparse_accum_rows.
+// Each lane is one output column's chain step.
 inline void accum_row_avx2(float v, const float* __restrict row,
                            float* __restrict y, Index n) {
   const __m256 vv = _mm256_set1_ps(v);
@@ -88,19 +88,6 @@ inline void accum_row_avx2(float v, const float* __restrict row,
     _mm256_storeu_ps(y + j, y0);
   }
   for (; j < n; ++j) y[j] = std::fmaf(v, row[j], y[j]);
-}
-
-void gemm_rows_avx2(const float* __restrict a, const float* __restrict b,
-                    float* __restrict c, Index m, Index k, Index n) {
-  for (Index i = 0; i < m; ++i) {
-    const float* __restrict arow = a + i * k;
-    float* __restrict crow = c + i * n;
-    for (Index kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;  // same skip semantics as scalar/reference
-      accum_row_avx2(av, b + kk * n, crow, n);
-    }
-  }
 }
 
 void sparse_accum_rows_avx2(const float* __restrict packed,
@@ -126,7 +113,8 @@ void sparse_accum_rows_avx2(const float* __restrict packed,
 // holds (or after +0.0f in the Ow overwrite flavour, which skips the y
 // load — see multi_schedule.h), so chaining C rows per pass only
 // amortizes out-row traffic, it never reorders a chain. Plugged into
-// the shared position-major merge schedule of num/simd/multi_schedule.h.
+// the shared schedules of num/simd/multi_schedule.h (the CSR merge and
+// the dense gemm); the table below instantiates them directly.
 struct Avx2MultiChainPass {
   template <int C, bool Ow>
   __attribute__((always_inline)) static inline void pass(
@@ -175,30 +163,6 @@ struct Avx2MultiChainPass {
     }
   }
 };
-
-void sparse_accum_rows_multi_avx2(const float* __restrict packed,
-                                  const Index* __restrict positions,
-                                  const Index* __restrict row_start,
-                                  const float* __restrict values,
-                                  float* __restrict out, Index batch,
-                                  Index n) {
-  // Per-lane CSR accumulate through the shared position-major merge
-  // schedule (num/simd/multi_schedule.h — rationale and the measured
-  // alternatives live there and in docs/architecture.md); this backend
-  // contributes only the AVX2 chain-pass primitive above.
-  sparse_accum_rows_multi_schedule<Avx2MultiChainPass>(
-      packed, positions, row_start, values, out, batch, n);
-}
-
-void sparse_accum_rows_multi_overwrite_avx2(
-    const float* __restrict packed, const Index* __restrict positions,
-    const Index* __restrict row_start, const float* __restrict values,
-    float* __restrict out, Index batch, Index n) {
-  // Overwrite flavour: out = instead of out += (multi_schedule.h); the
-  // caller skips its zero fill of out.
-  sparse_accum_rows_multi_schedule<Avx2MultiChainPass, true>(
-      packed, positions, row_start, values, out, batch, n);
-}
 
 void gemv_avx2(const float* __restrict w, const float* __restrict x,
                float* __restrict y, Index m, Index n) {
@@ -606,17 +570,6 @@ struct Avx2MultiChainPassI8 {
   }
 };
 
-void sparse_accum_rows_multi_i8_avx2(const std::int8_t* __restrict packed,
-                                     const Index* __restrict positions,
-                                     const Index* __restrict row_start,
-                                     const std::int8_t* __restrict values,
-                                     std::int32_t* __restrict out, Index batch,
-                                     Index n) {
-  sparse_accum_rows_multi_schedule<Avx2MultiChainPassI8, false, std::int8_t,
-                                   std::int32_t>(packed, positions, row_start,
-                                                 values, out, batch, n);
-}
-
 }  // namespace
 
 const KernelBackend kAvx2Backend = {
@@ -624,16 +577,17 @@ const KernelBackend kAvx2Backend = {
     "AVX2+FMA intrinsics; needs cpuid avx2+fma and an FMA-contracted base "
     "build (-march=native or -mfma)",
     avx2_available,
-    gemm_rows_avx2,
+    gemm_rows_schedule<Avx2MultiChainPass>,
     gemm_a_bt_rows_avx2,
     gemv_avx2,
     sparse_accum_rows_avx2,
-    sparse_accum_rows_multi_avx2,
-    sparse_accum_rows_multi_overwrite_avx2,
+    sparse_accum_rows_multi_schedule<Avx2MultiChainPass>,
+    sparse_accum_rows_multi_schedule<Avx2MultiChainPass, true>,
     axpy_avx2,
     gemm_a_bt_i8_avx2,
     sparse_accum_rows_i8_avx2,
-    sparse_accum_rows_multi_i8_avx2,
+    sparse_accum_rows_multi_schedule<Avx2MultiChainPassI8, false, std::int8_t,
+                                     std::int32_t>,
 };
 
 }  // namespace zss::num::simd

@@ -39,8 +39,10 @@ struct KernelBackend {
   bool (*available)();
 
   // --- kernel table (null in stub backends) ---------------------------
-  /// C[0..m) rows of C = A * B; every row of C is pre-zeroed by the
-  /// caller. Exact zeros in A are skipped (IEEE identity).
+  /// C[0..m) rows of C = A * B; every element written (C is treated as
+  /// uninitialized; a row of A with no non-zero entry yields +0.0f).
+  /// Exact zeros in A are skipped (IEEE identity), so a non-finite B
+  /// row under a zero A entry never reaches C.
   void (*gemm_rows)(const float* a, const float* b, float* c, Index m,
                     Index k, Index n);
   /// C[0..m) rows of C = A * B^T (B is n x k); every element written.

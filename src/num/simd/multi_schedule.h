@@ -1,6 +1,7 @@
-// Shared schedule of the per-lane batched sparse accumulation
-// (sparse_accum_rows_multi), parameterized over a backend's chain-pass
-// primitive so the scalar control flow exists exactly once.
+// Shared schedules of the per-lane batched sparse accumulation
+// (sparse_accum_rows_multi) and of the dense input GEMM (gemm_rows),
+// parameterized over a backend's chain-pass primitive so the scalar
+// control flow exists exactly once.
 //
 // The schedule is position-major: the per-lane CSR lists of a block of
 // lanes are merge-iterated in ascending position order, up to
@@ -93,6 +94,52 @@ inline void multi_dispatch_pass(int c, AT* __restrict y, Index jt,
   }
 }
 
+// One merged group over every j-tile: lane q of the block [b0, b0+nb)
+// chains its gcnt[q] gathered rows grow[q]/gval[q] into out row b0+q,
+// so each tile of the group's rows is read from memory once and stays
+// L1-hot for every lane. In Overwrite mode a lane still marked virgin
+// runs the overwrite flavour on every tile of this group and is
+// un-marked only after the full j loop.
+template <typename ChainPass, bool Overwrite, typename VT, typename AT>
+inline void multi_group_tiles(AT* __restrict out, Index b0, Index nb, Index n,
+                              const VT* const (*grow)[kMultiGroup],
+                              const VT (*gval)[kMultiGroup], const int* gcnt,
+                              bool* virgin) {
+  for (Index jt = 0; jt < n; jt += kMultiJTile) {
+    const Index je = jt + kMultiJTile < n ? jt + kMultiJTile : n;
+    for (Index q = 0; q < nb; ++q) {
+      if (gcnt[q] == 0) continue;
+      AT* __restrict y = out + (b0 + q) * n;
+      if constexpr (Overwrite) {
+        if (virgin[q]) {
+          multi_dispatch_pass<ChainPass, true>(gcnt[q], y, jt, je, grow[q],
+                                               gval[q]);
+          continue;
+        }
+      }
+      multi_dispatch_pass<ChainPass, false>(gcnt[q], y, jt, je, grow[q],
+                                            gval[q]);
+    }
+  }
+  if constexpr (Overwrite) {
+    for (Index q = 0; q < nb; ++q) {
+      if (gcnt[q] > 0) virgin[q] = false;
+    }
+  }
+}
+
+// Lanes no group touched were never written; they owe the caller the
+// zero fill it skipped.
+template <typename AT>
+inline void multi_zero_fill_virgin(AT* __restrict out, Index b0, Index nb,
+                                   Index n, const bool* virgin) {
+  for (Index q = 0; q < nb; ++q) {
+    if (!virgin[q]) continue;
+    AT* __restrict y = out + (b0 + q) * n;
+    for (Index j = 0; j < n; ++j) y[j] = AT{};
+  }
+}
+
 template <typename ChainPass, bool Overwrite = false, typename VT = float,
           typename AT = float>
 inline void sparse_accum_rows_multi_schedule(
@@ -105,9 +152,7 @@ inline void sparse_accum_rows_multi_schedule(
     Index cur[kMultiLaneBlock];
     for (Index q = 0; q < nb; ++q) cur[q] = row_start[b0 + q];
     // Overwrite mode: a lane is "virgin" until its first contributing
-    // merge round, whose passes start each chain from +0.0f instead of
-    // loading y. Cleared only after the round's full j loop so every
-    // tile of that round overwrites.
+    // merge round.
     bool virgin[kMultiLaneBlock];
     for (Index q = 0; q < nb; ++q) virgin[q] = true;
     for (;;) {
@@ -135,37 +180,49 @@ inline void sparse_accum_rows_multi_schedule(
         ++ng;
       }
       if (ng == 0) break;
-      for (Index jt = 0; jt < n; jt += kMultiJTile) {
-        const Index je = jt + kMultiJTile < n ? jt + kMultiJTile : n;
-        for (Index q = 0; q < nb; ++q) {
-          if (gcnt[q] == 0) continue;
-          AT* __restrict y = out + (b0 + q) * n;
-          if constexpr (Overwrite) {
-            if (virgin[q]) {
-              multi_dispatch_pass<ChainPass, true>(gcnt[q], y, jt, je,
-                                                   grow[q], gval[q]);
-              continue;
-            }
-          }
-          multi_dispatch_pass<ChainPass, false>(gcnt[q], y, jt, je, grow[q],
-                                                gval[q]);
-        }
-      }
-      if constexpr (Overwrite) {
-        for (Index q = 0; q < nb; ++q) {
-          if (gcnt[q] > 0) virgin[q] = false;
-        }
-      }
+      multi_group_tiles<ChainPass, Overwrite>(out, b0, nb, n, grow, gval,
+                                              gcnt, virgin);
     }
-    if constexpr (Overwrite) {
-      // Lanes with no kept entries at all were never written; they owe
-      // the caller the zero fill it skipped.
+    if constexpr (Overwrite) multi_zero_fill_virgin(out, b0, nb, n, virgin);
+  }
+}
+
+// Dense twin of the schedule above, the body of every backend's
+// gemm_rows: C (m x n) = A (m x k) * B (k x n), every element of C
+// written (C is treated as uninitialized). Rows of A play the lanes and
+// k the positions: per block of kMultiLaneBlock rows, kMultiGroup
+// consecutive k at a time, each row gathers its own non-zero a[i][k]
+// (the exact-zero skip stays per element) and the group's B rows are
+// streamed once per block — L1-hot for every row — instead of once per
+// row as an i-k-j loop does. Each c[i][j] is still one serial chain
+// over ascending non-zero k starting from +0.0f (the first
+// contributing group overwrites), rows with no non-zero entry are
+// zero-filled, so the result is 0-ULP num::reference::gemm.
+template <typename ChainPass>
+inline void gemm_rows_schedule(const float* __restrict a,
+                               const float* __restrict b, float* __restrict c,
+                               Index m, Index k, Index n) {
+  for (Index i0 = 0; i0 < m; i0 += kMultiLaneBlock) {
+    const Index nb = m - i0 < kMultiLaneBlock ? m - i0 : kMultiLaneBlock;
+    bool virgin[kMultiLaneBlock];
+    for (Index q = 0; q < nb; ++q) virgin[q] = true;
+    for (Index k0 = 0; k0 < k; k0 += kMultiGroup) {
+      const Index ke = k0 + kMultiGroup < k ? k0 + kMultiGroup : k;
+      const float* grow[kMultiLaneBlock][kMultiGroup];
+      float gval[kMultiLaneBlock][kMultiGroup];
+      int gcnt[kMultiLaneBlock] = {};
       for (Index q = 0; q < nb; ++q) {
-        if (!virgin[q]) continue;
-        AT* __restrict y = out + (b0 + q) * n;
-        for (Index j = 0; j < n; ++j) y[j] = AT{};
+        const float* __restrict arow = a + (i0 + q) * k;
+        for (Index kk = k0; kk < ke; ++kk) {
+          if (arow[kk] == 0.0f) continue;  // same skip as the reference
+          grow[q][gcnt[q]] = b + kk * n;
+          gval[q][gcnt[q]++] = arow[kk];
+        }
       }
+      multi_group_tiles<ChainPass, true>(c, i0, nb, n, grow, gval, gcnt,
+                                         virgin);
     }
+    multi_zero_fill_virgin(c, i0, nb, n, virgin);
   }
 }
 

@@ -40,7 +40,8 @@ inline void transpose4(float32x4_t r[4]) {
 // the FMA sequence unrolls with every broadcast hoisted). The chain per
 // output element runs in the order the caller filled gr/gv — ascending
 // positions — so chaining only amortizes out-row traffic. Plugged into
-// the shared position-major merge schedule of num/simd/multi_schedule.h.
+// the shared schedules of num/simd/multi_schedule.h (the CSR merge and
+// the dense gemm); the table below instantiates them directly.
 struct NeonMultiChainPass {
   template <int C, bool Ow>
   __attribute__((always_inline)) static inline void pass(
@@ -90,7 +91,7 @@ struct NeonMultiChainPass {
   }
 };
 
-// y[j] += v * row[j] over [0, n): shared by gemm and sparse_accum_rows.
+// y[j] += v * row[j] over [0, n): the inner loop of sparse_accum_rows.
 inline void accum_row_neon(float v, const float* __restrict row,
                            float* __restrict y, Index n) {
   const float32x4_t vv = vdupq_n_f32(v);
@@ -111,19 +112,6 @@ inline void accum_row_neon(float v, const float* __restrict row,
   for (; j < n; ++j) y[j] = std::fmaf(v, row[j], y[j]);
 }
 
-void gemm_rows_neon(const float* __restrict a, const float* __restrict b,
-                    float* __restrict c, Index m, Index k, Index n) {
-  for (Index i = 0; i < m; ++i) {
-    const float* __restrict arow = a + i * k;
-    float* __restrict crow = c + i * n;
-    for (Index kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;  // same skip semantics as scalar/reference
-      accum_row_neon(av, b + kk * n, crow, n);
-    }
-  }
-}
-
 void sparse_accum_rows_neon(const float* __restrict packed,
                             const Index* __restrict positions,
                             std::size_t n_positions,
@@ -138,29 +126,6 @@ void sparse_accum_rows_neon(const float* __restrict packed,
       accum_row_neon(v, row, out + b * n, n);
     }
   }
-}
-
-void sparse_accum_rows_multi_neon(const float* __restrict packed,
-                                  const Index* __restrict positions,
-                                  const Index* __restrict row_start,
-                                  const float* __restrict values,
-                                  float* __restrict out, Index batch,
-                                  Index n) {
-  // Per-lane CSR accumulate through the shared position-major merge
-  // schedule (num/simd/multi_schedule.h); this backend contributes only
-  // the 4-lane NEON chain-pass primitive above.
-  sparse_accum_rows_multi_schedule<NeonMultiChainPass>(
-      packed, positions, row_start, values, out, batch, n);
-}
-
-void sparse_accum_rows_multi_overwrite_neon(
-    const float* __restrict packed, const Index* __restrict positions,
-    const Index* __restrict row_start, const float* __restrict values,
-    float* __restrict out, Index batch, Index n) {
-  // Overwrite flavour: out = instead of out += (multi_schedule.h); the
-  // caller skips its zero fill of out.
-  sparse_accum_rows_multi_schedule<NeonMultiChainPass, true>(
-      packed, positions, row_start, values, out, batch, n);
 }
 
 void gemv_neon(const float* __restrict w, const float* __restrict x,
@@ -458,17 +423,6 @@ struct NeonMultiChainPassI8 {
   }
 };
 
-void sparse_accum_rows_multi_i8_neon(const std::int8_t* __restrict packed,
-                                     const Index* __restrict positions,
-                                     const Index* __restrict row_start,
-                                     const std::int8_t* __restrict values,
-                                     std::int32_t* __restrict out, Index batch,
-                                     Index n) {
-  sparse_accum_rows_multi_schedule<NeonMultiChainPassI8, false, std::int8_t,
-                                   std::int32_t>(packed, positions, row_start,
-                                                 values, out, batch, n);
-}
-
 }  // namespace
 
 const KernelBackend kNeonBackend = {
@@ -476,16 +430,17 @@ const KernelBackend kNeonBackend = {
     "AArch64 Advanced SIMD (baseline ISA); needs an FMA-contracted base "
     "build",
     neon_available,
-    gemm_rows_neon,
+    gemm_rows_schedule<NeonMultiChainPass>,
     gemm_a_bt_rows_neon,
     gemv_neon,
     sparse_accum_rows_neon,
-    sparse_accum_rows_multi_neon,
-    sparse_accum_rows_multi_overwrite_neon,
+    sparse_accum_rows_multi_schedule<NeonMultiChainPass>,
+    sparse_accum_rows_multi_schedule<NeonMultiChainPass, true>,
     axpy_neon,
     gemm_a_bt_i8_neon,
     sparse_accum_rows_i8_neon,
-    sparse_accum_rows_multi_i8_neon,
+    sparse_accum_rows_multi_schedule<NeonMultiChainPassI8, false, std::int8_t,
+                                     std::int32_t>,
 };
 
 }  // namespace zss::num::simd

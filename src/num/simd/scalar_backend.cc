@@ -12,22 +12,6 @@ namespace zss::num::simd {
 
 namespace {
 
-void gemm_rows_scalar(const float* __restrict a, const float* __restrict b,
-                      float* __restrict c, Index m, Index k, Index n) {
-  // i-k-j loop order: the inner loop streams both B's row and C's row,
-  // which vectorizes well and is cache-friendly for row-major storage.
-  for (Index i = 0; i < m; ++i) {
-    float* __restrict crow = c + i * n;
-    const float* __restrict arow = a + i * k;
-    for (Index kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* __restrict brow = b + kk * n;
-      for (Index j = 0; j < n; ++j) crow[j] = madd(av, brow[j], crow[j]);
-    }
-  }
-}
-
 // One row of A against a block-of-4 rows of B: four independent
 // accumulator chains, each still summing in ascending k.
 inline void abt_row_block4(const float* __restrict arow,
@@ -177,8 +161,9 @@ void sparse_accum_rows_scalar(const float* __restrict packed,
 // order the caller filled gr/gv — ascending positions — so chaining
 // only amortizes out-row traffic, never reorders a chain. Ow starts
 // the chain from +0.0f instead of y[j] (the overwrite flavour — see
-// multi_schedule.h). Plugged into the shared position-major merge
-// schedule of num/simd/multi_schedule.h.
+// multi_schedule.h). Plugged into the shared schedules of
+// num/simd/multi_schedule.h (the CSR merge and the dense gemm); the
+// table below instantiates them directly.
 struct ScalarMultiChainPass {
   template <int C, bool Ow>
   static inline void pass(float* __restrict y, Index jt, Index je,
@@ -206,29 +191,6 @@ struct ScalarMultiChainPass {
     }
   }
 };
-
-void sparse_accum_rows_multi_scalar(const float* __restrict packed,
-                                    const Index* __restrict positions,
-                                    const Index* __restrict row_start,
-                                    const float* __restrict values,
-                                    float* __restrict out, Index batch,
-                                    Index n) {
-  // Per-lane CSR accumulate through the shared position-major merge
-  // schedule (num/simd/multi_schedule.h); this backend contributes only
-  // the portable madd chain-pass primitive above.
-  sparse_accum_rows_multi_schedule<ScalarMultiChainPass>(
-      packed, positions, row_start, values, out, batch, n);
-}
-
-void sparse_accum_rows_multi_overwrite_scalar(
-    const float* __restrict packed, const Index* __restrict positions,
-    const Index* __restrict row_start, const float* __restrict values,
-    float* __restrict out, Index batch, Index n) {
-  // Overwrite flavour: out = instead of out += (multi_schedule.h); the
-  // caller skips its zero fill of out.
-  sparse_accum_rows_multi_schedule<ScalarMultiChainPass, true>(
-      packed, positions, row_start, values, out, batch, n);
-}
 
 void axpy_scalar(float alpha, const float* __restrict x, float* __restrict y,
                  std::size_t n) {
@@ -330,17 +292,6 @@ struct ScalarMultiChainPassI8 {
   }
 };
 
-void sparse_accum_rows_multi_i8_scalar(const std::int8_t* __restrict packed,
-                                       const Index* __restrict positions,
-                                       const Index* __restrict row_start,
-                                       const std::int8_t* __restrict values,
-                                       std::int32_t* __restrict out,
-                                       Index batch, Index n) {
-  sparse_accum_rows_multi_schedule<ScalarMultiChainPassI8, false, std::int8_t,
-                                   std::int32_t>(packed, positions, row_start,
-                                                 values, out, batch, n);
-}
-
 bool always_available() { return true; }
 
 }  // namespace
@@ -349,16 +300,17 @@ const KernelBackend kScalarBackend = {
     "scalar",
     "portable register-blocked loops (PR-1 kernels); autovectorized only",
     always_available,
-    gemm_rows_scalar,
+    gemm_rows_schedule<ScalarMultiChainPass>,
     gemm_a_bt_rows_scalar,
     gemv_scalar,
     sparse_accum_rows_scalar,
-    sparse_accum_rows_multi_scalar,
-    sparse_accum_rows_multi_overwrite_scalar,
+    sparse_accum_rows_multi_schedule<ScalarMultiChainPass>,
+    sparse_accum_rows_multi_schedule<ScalarMultiChainPass, true>,
     axpy_scalar,
     gemm_a_bt_i8_scalar,
     sparse_accum_rows_i8_scalar,
-    sparse_accum_rows_multi_i8_scalar,
+    sparse_accum_rows_multi_schedule<ScalarMultiChainPassI8, false, std::int8_t,
+                                     std::int32_t>,
 };
 
 }  // namespace zss::num::simd

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
+#include "num/activations.h"
+#include "num/kernels.h"
 #include "num/parallel.h"
+#include "num/reference_kernels.h"
 #include "num/rng.h"
 
 // Global operator new instrumented for the zero-allocation contract:
@@ -92,6 +96,62 @@ TEST_F(SparseInferenceTest, BatchedPerLanePathMatchesDenseExactly) {
       dense.step_dense(x, h_d, c_d);
       ASSERT_EQ(h_s, h_d) << "batch " << batch << " step " << t;
       ASSERT_EQ(c_s, c_d) << "batch " << batch << " step " << t;
+    }
+  }
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST_F(SparseInferenceTest, StepMatchesHandRolledReferenceStep) {
+  // step() against an oracle that shares no kernel with it: the input
+  // path is num::reference::gemm over the packed wxt, the recurrence is
+  // the dense num::reference::gemm_a_bt, and the gate math is written
+  // out as finish_step() does it. step_dense() cannot serve here —
+  // it runs the same num::gemm input path as step(). dh = 136 makes
+  // 4*dh = 544 span three j-tiles of the shared gemm schedule and
+  // dx = 19 leaves a ragged k group; batch 1 takes the offset-encoded
+  // recurrent path and batch 8 the per-lane CSR one.
+  constexpr Index kDx = 19;
+  constexpr Index kDh = 136;
+  Rng rng(1234);
+  const nn::LstmCell cell(kDx, kDh, rng);
+  StatePruner pruner(PrunerConfig::target(0.8));
+  for (const Index batch : {Index{1}, Index{8}}) {
+    SparseLstmEngine engine(cell, pruner);
+    const auto& packed = engine.packed_weights();
+    Matrix h(batch, kDh, 0.0f), c(batch, kDh, 0.0f);
+    Matrix h_ref = h, c_ref = c;
+    std::vector<float> scratch;
+    for (int t = 0; t < 8; ++t) {
+      Matrix x = random_matrix(batch, kDx, rng);
+      for (Index i = 0; i < batch; ++i) x(i, (t + i) % kDx) = 0.0f;
+      engine.step(x, h, c);
+
+      Matrix pre, pre_h;
+      num::reference::gemm(x, packed.wxt, pre);
+      num::reference::gemm_a_bt(h_ref, cell.wh().value, pre_h);
+      for (Index r = 0; r < batch; ++r) {
+        for (Index j = 0; j < 4 * kDh; ++j) {
+          pre(r, j) += packed.bias[j];
+          pre(r, j) = num::madd(1.0f, pre_h(r, j), pre(r, j));
+        }
+        for (Index j = 0; j < kDh; ++j) {
+          const float f = num::sigmoid(pre(r, j));
+          const float i = num::sigmoid(pre(r, kDh + j));
+          const float o = num::sigmoid(pre(r, 2 * kDh + j));
+          const float g = num::tanh_act(pre(r, 3 * kDh + j));
+          const float cj = f * c_ref(r, j) + i * g;
+          c_ref(r, j) = cj;
+          h_ref(r, j) = o * num::tanh_act(cj);
+        }
+      }
+      pruner.prune_inplace(h_ref, scratch);
+      ASSERT_TRUE(bitwise_equal(h, h_ref)) << "batch " << batch << " step " << t;
+      ASSERT_TRUE(bitwise_equal(c, c_ref)) << "batch " << batch << " step " << t;
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "num/reference_kernels.h"
 #include "num/rng.h"
 #include "num/simd/backend.h"
+#include "num/simd/multi_schedule.h"
 
 namespace zss::num {
 namespace {
@@ -61,16 +62,52 @@ std::string param_name(const ::testing::TestParamInfo<KernelParam>& info) {
          "_" + backend->name;
 }
 
+// gemm against the reference with two traps: the backend's C starts
+// as NaN garbage, so an element gemm_rows leaves unwritten poisons the
+// comparison, and every B row that no row of A uses (all its A entries
+// are exact +-0) is filled with +-inf and NaN, which the exact-zero skip
+// must keep out of C as the reference does.
+void expect_gemm_matches_reference(const Matrix& a, Matrix b) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float poison[] = {inf, -inf, nan};
+  for (Index kk = 0; kk < a.cols(); ++kk) {
+    bool used = false;
+    for (Index i = 0; i < a.rows(); ++i) used = used || a(i, kk) != 0.0f;
+    if (used) continue;
+    for (Index j = 0; j < b.cols(); ++j) b(kk, j) = poison[(kk + j) % 3];
+  }
+  Matrix c_backend(a.rows(), b.cols(), nan);
+  gemm(a, b, c_backend);
+  Matrix c_ref;
+  reference::gemm(a, b, c_ref);
+  expect_bitwise_equal(c_backend, c_ref);
+  for (const float v : c_backend.flat()) ASSERT_TRUE(std::isfinite(v));
+}
+
 TEST_P(BackendKernelTest, GemmMatchesReference) {
   const auto [dh, batch] = shape();
   Rng rng(static_cast<std::uint64_t>(dh * 100 + batch));
   const Matrix a = random_matrix(batch, dh, rng);
   const Matrix b = random_matrix(dh, 4 * dh, rng);
-  Matrix c_backend;
-  gemm(a, b, c_backend);
-  Matrix c_ref;
-  reference::gemm(a, b, c_ref);
-  expect_bitwise_equal(c_backend, c_ref);
+  expect_gemm_matches_reference(a, b);
+
+  // One-hot rows (the char-LM input path).
+  Matrix one_hot(batch, dh, 0.0f);
+  for (Index i = 0; i < batch; ++i) one_hot(i, (i * 7) % dh) = 1.0f;
+  expect_gemm_matches_reference(one_hot, b);
+
+  // ~90% zeros, half of them -0.0f (skipped like +0.0f), and one row
+  // with no non-zero entry at all, which must come out as +0.0f.
+  Matrix sparse(batch, dh);
+  for (Index i = 0; i < batch; ++i) {
+    for (Index kk = 0; kk < dh; ++kk) {
+      const bool zero = i == batch / 2 || rng.bernoulli(0.9);
+      sparse(i, kk) = zero ? ((i + kk) % 2 == 0 ? 0.0f : -0.0f)
+                           : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  expect_gemm_matches_reference(sparse, b);
 }
 
 TEST_P(BackendKernelTest, GemmABtMatchesReference) {
@@ -340,13 +377,25 @@ TEST_P(BackendKernelTest, AxpyMatchesMaddChain) {
   }
 }
 
+// Crosses every blocking boundary of the shared schedules at once:
+// 4*dh = 2*kMultiJTile + 12 columns (two full j-tiles and a ragged
+// tail), dh = k not a multiple of kMultiGroup, and a batch (the gemm's
+// m) past one kMultiLaneBlock.
+constexpr Shape kScheduleEdges{simd::kMultiJTile / 2 + 3,
+                               simd::kMultiLaneBlock + 5};
+static_assert((4 * kScheduleEdges.dh) % simd::kMultiJTile != 0 &&
+              4 * kScheduleEdges.dh > 2 * simd::kMultiJTile &&
+              kScheduleEdges.dh % simd::kMultiGroup != 0 &&
+              kScheduleEdges.batch > simd::kMultiLaneBlock);
+
 INSTANTIATE_TEST_SUITE_P(
     OddShapesAllBackends, BackendKernelTest,
     ::testing::Combine(::testing::Values(Shape{1, 1}, Shape{1, 2}, Shape{3, 1},
                                          Shape{3, 5}, Shape{17, 2},
                                          Shape{17, 5}, Shape{17, 40},
                                          Shape{64, 1}, Shape{64, 2},
-                                         Shape{64, 5}, Shape{64, 33}),
+                                         Shape{64, 5}, Shape{64, 33},
+                                         kScheduleEdges),
                        ::testing::ValuesIn(simd::available_backends())),
     param_name);
 

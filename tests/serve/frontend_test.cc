@@ -261,11 +261,34 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
   std::string error;
   ASSERT_TRUE(frontend.start(&error)) << error;
 
-  constexpr int kStalledSteps = 200;
   ClientConn stalled = connect_greet(fc.unix_path);
-  for (int i = 0; i < kStalledSteps; ++i) {
-    ASSERT_TRUE(stalled.send_line("step 77 " + std::to_string(i % 5)));
+  // Owe the stalled reader more response bytes than its socket can
+  // hold, so they must pile up server-side and engage backpressure
+  // however the event loop and the shards interleave: responses that
+  // fit in the socket buffer let a prompt event loop flush them all to
+  // the kernel without ever pausing. A UNIX stream socket holds at most
+  // the sender's SO_SNDBUF plus one skb of at most half that; both ends
+  // start at the system default, which the client's own socket
+  // reports; every `ok` line is at least 27 bytes.
+  int sndbuf = 0;
+  socklen_t sndbuf_len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(stalled.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         &sndbuf_len),
+            0);
+  const int stalled_steps =
+      static_cast<int>((2 * static_cast<std::size_t>(sndbuf) +
+                        fc.max_write_buffer) /
+                       27) +
+      1;
+  // One send of ~10 bytes per step, under half of what a response
+  // costs: the requests fit in this client's own send buffer even once
+  // the paused server stops reading them, so the send cannot block.
+  std::string blob;
+  for (int i = 0; i < stalled_steps; ++i) {
+    blob += "step 77 " + std::to_string(i % 5) + "\n";
   }
+  ASSERT_EQ(::send(stalled.fd(), blob.data(), blob.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(blob.size()));
   // Do NOT read `stalled` yet: its responses pile up server-side.
 
   ClientConn live = connect_greet(fc.unix_path);
@@ -281,7 +304,7 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
 
   int oks = 0;
   std::string line;
-  while (oks < kStalledSteps) {
+  while (oks < stalled_steps) {
     ASSERT_TRUE(stalled.read_line(&line, 5000)) << "owed response missing";
     OkLine okl;
     ASSERT_TRUE(parse_ok(line, okl)) << line;
@@ -292,7 +315,7 @@ TEST_F(FrontendTest, SlowReaderDoesNotStallOtherConnections) {
   frontend.stop();
   frontend.join();
   EXPECT_EQ(frontend.server().submitted(),
-            static_cast<std::uint64_t>(kStalledSteps + 20));
+            static_cast<std::uint64_t>(stalled_steps + 20));
   EXPECT_GE(frontend.stats().read_pauses, 1u)
       << "tiny max_write_buffer never engaged backpressure";
 }
@@ -510,9 +533,15 @@ TEST_F(FrontendTest, NoSigpipeWithDefaultDisposition) {
 
     for (int round = 0; round < 10; ++round) {
       ClientConn c = connect_greet(fc.unix_path);
+      const std::uint64_t before = frontend.server().submitted();
       for (int i = 0; i < 8; ++i) {
         ASSERT_TRUE(c.send_line("step 41 " + std::to_string(i % 5)));
       }
+      // Close only once the server has read from this connection: a
+      // close that wins the race discards every line unread, and with
+      // nothing submitted no response can meet the dead peer.
+      ASSERT_TRUE(wait_until(
+          [&] { return frontend.server().submitted() > before; }));
       c.close();  // responses land on a dead peer → EPIPE, not SIGPIPE
     }
     EXPECT_TRUE(wait_until([&] {
